@@ -1,7 +1,7 @@
 //! Rendering helpers for the figure-regeneration harness.
 //!
-//! The [`figures`](../figures/index.html) binary and the Criterion
-//! benches use these helpers to turn [`Figure`] data into aligned text
+//! The [`figures`](../figures/index.html) binary and the `nvpg-serve`
+//! daemon use these helpers to turn [`Figure`] data into aligned text
 //! tables and CSV files.
 
 pub mod obs_cli;

@@ -1,11 +1,10 @@
-//! Shared `--trace`/`--profile` plumbing for the benchmark binaries.
+//! `--trace`/`--profile` plumbing for the `figures` binary.
 //!
-//! Every binary that grows tracing flags does the same three things:
-//! enable the collector up front, and at exit drain the span buffer into
-//! (a) on-disk artefacts — `trace.jsonl`, `manifest.json`,
-//! `profile.folded` — and (b) a per-phase self-time table on stderr.
-//! This module holds that plumbing so the binaries stay flag parsing +
-//! two calls.
+//! Tracing flags do three things: enable the collector up front, and at
+//! exit drain the span buffer into (a) on-disk artefacts — `trace.jsonl`,
+//! `manifest.json`, `profile.folded` — and (b) a per-phase self-time
+//! table on stderr. This module holds that plumbing so the binary stays
+//! flag parsing + two calls.
 //!
 //! Everything here writes to `stderr` or to files; `stdout` is reserved
 //! for figure data and must stay byte-identical whether or not tracing

@@ -761,17 +761,24 @@ impl NvMacro {
         })
     }
 
-    fn assert_nv(&self, what: &str) {
-        assert!(
-            self.spec.kind.is_nonvolatile(),
-            "OSR macros have no retention elements to {what}"
-        );
+    fn check_nv(&self, what: &str) -> Result<(), CircuitError> {
+        if self.spec.kind.is_nonvolatile() {
+            return Ok(());
+        }
+        Err(CircuitError::InvalidValue {
+            element: "macro".to_owned(),
+            reason: format!("OSR macros have no retention elements to {what}"),
+        })
     }
 
-    fn assert_groups(&self, groups: &[usize]) {
+    fn check_groups(&self, groups: &[usize]) -> Result<(), CircuitError> {
         let n = self.spec.groups();
-        for &g in groups {
-            assert!(g < n, "gating group {g} out of range (macro has {n})");
+        match groups.iter().find(|&&g| g >= n) {
+            None => Ok(()),
+            Some(g) => Err(CircuitError::InvalidValue {
+                element: "macro".to_owned(),
+                reason: format!("gating group {g} out of range (macro has {n})"),
+            }),
         }
     }
 
@@ -781,14 +788,11 @@ impl NvMacro {
     ///
     /// # Errors
     ///
-    /// Propagates transient non-convergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an OSR macro or an out-of-range group index.
+    /// [`CircuitError::InvalidValue`] on an OSR macro or an out-of-range
+    /// group index; otherwise propagates transient non-convergence.
     pub fn store(&mut self, groups: &[usize]) -> Result<MacroPhase, CircuitError> {
-        self.assert_nv("store");
-        self.assert_groups(groups);
+        self.check_nv("store")?;
+        self.check_groups(groups)?;
         let c = self.spec.design.conditions;
         let t = c.store_duration;
         // Each phase's ramps must read the *current* source levels, so
@@ -828,18 +832,15 @@ impl NvMacro {
     ///
     /// # Errors
     ///
-    /// Propagates transient non-convergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an OSR macro or an out-of-range group index.
+    /// [`CircuitError::InvalidValue`] on an OSR macro or an out-of-range
+    /// group index; otherwise propagates transient non-convergence.
     pub fn shutdown(
         &mut self,
         groups: &[usize],
         super_cutoff: bool,
     ) -> Result<MacroPhase, CircuitError> {
-        self.assert_nv("power off");
-        self.assert_groups(groups);
+        self.check_nv("power off")?;
+        self.check_groups(groups)?;
         let c = self.spec.design.conditions;
         let v_pg = if super_cutoff {
             c.v_pg_super
@@ -900,14 +901,11 @@ impl NvMacro {
     ///
     /// # Errors
     ///
-    /// Propagates transient non-convergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an OSR macro or an out-of-range group index.
+    /// [`CircuitError::InvalidValue`] on an OSR macro or an out-of-range
+    /// group index; otherwise propagates transient non-convergence.
     pub fn restore(&mut self, groups: &[usize]) -> Result<MacroPhase, CircuitError> {
-        self.assert_nv("restore");
-        self.assert_groups(groups);
+        self.check_nv("restore")?;
+        self.check_groups(groups)?;
         let c = self.spec.design.conditions;
         let dur = c.restore_duration;
         let e = c.edge_time;
@@ -998,6 +996,7 @@ impl NvMacro {
 mod tests {
     use super::*;
     use crate::spec::Granularity;
+    use nvpg_cells::domain::DomainKind;
 
     fn checkerboard(r: usize, c: usize) -> bool {
         (r + c).is_multiple_of(2)
@@ -1045,6 +1044,34 @@ mod tests {
             for c in 0..4 {
                 assert_eq!(m.data(r, c), checkerboard(r, c), "cell ({r},{c})");
             }
+        }
+    }
+
+    #[test]
+    fn store_on_an_osr_macro_is_a_typed_error() {
+        let spec = MacroSpec::new(2, 2, 1).with_kind(DomainKind::Osr);
+        let mut m = NvMacro::new(spec, checkerboard).unwrap();
+        let err = m.store(&[0]).unwrap_err();
+        match err {
+            CircuitError::InvalidValue { element, reason } => {
+                assert_eq!(element, "macro");
+                assert!(reason.contains("OSR"), "{reason}");
+            }
+            other => panic!("expected InvalidValue, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_of_an_out_of_range_group_is_a_typed_error() {
+        let spec = MacroSpec::new(2, 2, 1).with_granularity(Granularity::PerRow);
+        let mut m = NvMacro::new(spec, checkerboard).unwrap();
+        let err = m.restore(&[0, spec.groups()]).unwrap_err();
+        match err {
+            CircuitError::InvalidValue { element, reason } => {
+                assert_eq!(element, "macro");
+                assert!(reason.contains("out of range"), "{reason}");
+            }
+            other => panic!("expected InvalidValue, got {other:?}"),
         }
     }
 

@@ -3,17 +3,34 @@
 //! buffers, and every subsequent solve at the same dimension reuses them.
 //!
 //! The check uses a counting global allocator, so this lives in its own
-//! integration-test binary.
+//! integration-test binary. Every solver under test runs on the calling
+//! thread, so the count is per thread: allocations made by the test
+//! harness or by sibling tests running in parallel do not reach it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use nvpg_numeric::{
     CscMatrix, DenseMatrix, NewtonOptions, NewtonSolver, NonlinearSystem, PatternBuilder, SparseLu,
     SparsePattern,
 };
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so touching it never allocates
+    // and needs no thread-exit destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread. `try_with` keeps the
+/// allocator safe while a thread's locals are being torn down.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the current thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct CountingAllocator;
 
@@ -21,17 +38,17 @@ struct CountingAllocator;
 // only a counter is added.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -141,7 +158,7 @@ fn newton_solve_allocates_nothing_after_warmup() {
     // Warm-up: sizes every internal buffer for dimension `n`.
     assert!(solver.solve(&mut system, &mut x).is_converged());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 0..10 {
         // Perturb so each solve genuinely iterates.
         for (i, xi) in x.iter_mut().enumerate() {
@@ -149,7 +166,7 @@ fn newton_solve_allocates_nothing_after_warmup() {
         }
         assert!(solver.solve(&mut system, &mut x).is_converged());
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -175,14 +192,14 @@ fn modified_newton_stale_path_allocates_nothing_after_warmup() {
     let mut x = vec![0.5; n];
     assert!(solver.solve(&mut system, &mut x).is_converged());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 0..10 {
         for (i, xi) in x.iter_mut().enumerate() {
             *xi += 0.1 * (1.0 + (round + i) as f64 * 0.01);
         }
         assert!(solver.solve(&mut system, &mut x).is_converged());
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -218,14 +235,14 @@ fn sparse_newton_allocates_nothing_after_symbolic_analysis() {
     // reach sets, factor storage) and sizes every buffer.
     assert!(solver.solve(&mut system, &mut x).is_converged());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 0..10 {
         for (i, xi) in x.iter_mut().enumerate() {
             *xi += 0.3 * (1.0 + (round + i) as f64 * 0.01);
         }
         assert!(solver.solve(&mut system, &mut x).is_converged());
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -261,14 +278,14 @@ fn sparse_modified_newton_stale_path_allocates_nothing() {
     let mut x = vec![0.5; n];
     assert!(solver.solve(&mut system, &mut x).is_converged());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 0..10 {
         for (i, xi) in x.iter_mut().enumerate() {
             *xi += 0.1 * (1.0 + (round + i) as f64 * 0.01);
         }
         assert!(solver.solve(&mut system, &mut x).is_converged());
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -317,7 +334,7 @@ fn sparse_lu_refactor_and_solve_allocate_nothing() {
     let b = vec![1.0; n];
     let mut x = vec![0.0; n];
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 0..10 {
         fill(&mut a, round as f64 * 0.1);
         lu.factor(&a).expect("nonsingular");
@@ -325,7 +342,7 @@ fn sparse_lu_refactor_and_solve_allocate_nothing() {
         lu.solve_neg_into(&b, &mut x);
     }
     assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
+        allocations() - before,
         0,
         "SparseLu refactor/solve cycle allocated"
     );
@@ -367,7 +384,7 @@ fn batched_dense_newton_allocates_nothing_after_setup() {
     // Warm-up round, then the steady state must be allocation-free: no
     // per-iteration or per-lane heap traffic.
     newton.solve(&mut systems, &mut x, &mut outcomes);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 0..10 {
         for (i, xi) in x.iter_mut().enumerate() {
             *xi += 0.3 * (1.0 + (round + i % 7) as f64 * 0.01);
@@ -378,7 +395,7 @@ fn batched_dense_newton_allocates_nothing_after_setup() {
             .all(|o| matches!(o, LaneOutcome::Converged { .. })));
     }
     assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
+        allocations() - before,
         0,
         "batched dense Newton steady state allocated"
     );
@@ -415,7 +432,7 @@ fn batched_sparse_newton_allocates_nothing_after_setup() {
     // Warm-up: the first factor phase anchors the shared symbolic
     // analysis and allocates the per-lane L/U value stacks.
     newton.solve(&mut systems, &mut x, &mut outcomes);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 0..10 {
         for (i, xi) in x.iter_mut().enumerate() {
             *xi += 0.3 * (1.0 + (round + i % 5) as f64 * 0.01);
@@ -426,7 +443,7 @@ fn batched_sparse_newton_allocates_nothing_after_setup() {
             .all(|o| matches!(o, LaneOutcome::Converged { .. })));
     }
     assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
+        allocations() - before,
         0,
         "batched sparse Newton steady state allocated"
     );
@@ -454,22 +471,18 @@ fn lu_solve_into_allocates_nothing() {
     // `LuFactors::solve_into`: factor once (allocates), then solve
     // repeatedly into a caller buffer with zero allocations.
     let factors = a.lu().expect("nonsingular");
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..10 {
         factors.solve_into(&b, &mut x);
     }
-    assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
-        0,
-        "LuFactors::solve_into allocated"
-    );
+    assert_eq!(allocations() - before, 0, "LuFactors::solve_into allocated");
     assert!(x.iter().all(|v| v.is_finite() && *v != 0.0));
 
     // `LuWorkspace`: after the first factorisation sizes the buffers,
     // refactor + solve cycles allocate nothing.
     let mut ws = LuWorkspace::with_dim(n);
     ws.factor_from(&a).expect("nonsingular");
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for round in 0..10 {
         a[(0, 0)] = 4.0 + round as f64 * 0.1;
         ws.factor_from(&a).expect("nonsingular");
@@ -477,7 +490,7 @@ fn lu_solve_into_allocates_nothing() {
         ws.solve_neg_into(&b, &mut x);
     }
     assert_eq!(
-        ALLOCATIONS.load(Ordering::SeqCst) - before,
+        allocations() - before,
         0,
         "LuWorkspace factor/solve cycle allocated"
     );

@@ -7,7 +7,8 @@
 //! interfere with the unit-test binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Both tests toggle the process-global tracing switch; serialise them.
@@ -20,14 +21,20 @@ fn lock() -> MutexGuard<'static, ()> {
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per-thread, so the harness and sibling tests cannot add to the
+    // measured region's count. `const`-initialised and drop-free, so
+    // touching it never allocates and needs no thread-exit destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 static FEED_METRICS: AtomicBool = AtomicBool::new(false);
 
+// SAFETY: delegates every operation to the system allocator unchanged;
+// only a counter (and, when asked, the alloc metrics) is added.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // `try_with` keeps the allocator safe during thread teardown.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         if FEED_METRICS.load(Ordering::Relaxed) {
             nvpg_obs::metrics::counters::ALLOC_COUNT.add(1);
             nvpg_obs::metrics::counters::ALLOC_BYTES.add(layout.size() as u64);
@@ -43,8 +50,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the current thread; the disabled span and
+/// counter operations under test all run on the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]

@@ -375,6 +375,16 @@ fn vth_shift_sweep_solves_through_the_batched_scan() {
     assert!(wild.text().contains("threshold shift"), "{}", wild.text());
 }
 
+/// Four sibling `/sweep` bodies: same topology (arch, var, params),
+/// overlapping but distinct point sets whose union is
+/// {32, 64, 128, 256, 512}.
+const SIBLING_SWEEPS: [&str; 4] = [
+    r#"{"arch":"NVPG","var":"rows","values":[32,64]}"#,
+    r#"{"arch":"NVPG","var":"rows","values":[64,128]}"#,
+    r#"{"arch":"NVPG","var":"rows","values":[128,256]}"#,
+    r#"{"arch":"NVPG","var":"rows","values":[256,512]}"#,
+];
+
 #[test]
 fn sibling_sweeps_coalesce_into_one_union_solve() {
     let _l = lock();
@@ -392,21 +402,14 @@ fn sibling_sweeps_coalesce_into_one_union_solve() {
     let coalesced0 = counters::SERVE_BATCH_COALESCED.get();
     let points0 = counters::SERVE_BATCH_POINTS.get();
 
-    // Four siblings: same topology (arch, var, params), overlapping but
-    // distinct point sets — so neither the cache nor single-flight can
-    // dedup them; only the coalescer can.
-    let bodies = [
-        r#"{"arch":"NVPG","var":"rows","values":[32,64]}"#,
-        r#"{"arch":"NVPG","var":"rows","values":[64,128]}"#,
-        r#"{"arch":"NVPG","var":"rows","values":[128,256]}"#,
-        r#"{"arch":"NVPG","var":"rows","values":[256,512]}"#,
-    ];
-    let handles: Vec<_> = bodies
+    // Distinct bodies over one topology: neither the cache nor
+    // single-flight can dedup them; only the coalescer can.
+    let handles: Vec<_> = SIBLING_SWEEPS
         .iter()
         .map(|&body| std::thread::spawn(move || post(addr, "/sweep", body)))
         .collect();
     let replies: Vec<Reply> = handles.into_iter().map(|h| h.join().expect("t")).collect();
-    for (body, reply) in bodies.iter().zip(&replies) {
+    for (body, reply) in SIBLING_SWEEPS.iter().zip(&replies) {
         assert_eq!(reply.status, 200, "{body}: {}", reply.text());
         assert_eq!(
             reply.text().matches("\"value\":").count(),
@@ -436,6 +439,33 @@ fn sibling_sweeps_coalesce_into_one_union_solve() {
         5,
         "the deduplicated union was solved once"
     );
+}
+
+#[test]
+fn window_zero_daemon_never_batches_sibling_sweeps() {
+    let _l = lock();
+    let mut config = test_config();
+    config.coalesce_window_ms = 0;
+    let server = Server::start(config).expect("start");
+    let addr = server.addr();
+
+    let batches0 = counters::SERVE_BATCH_BATCHES.get();
+    let coalesced0 = counters::SERVE_BATCH_COALESCED.get();
+    let points0 = counters::SERVE_BATCH_POINTS.get();
+
+    // The same concurrent siblings that coalesce into one union solve
+    // under a window: with the window at zero each solves on its own.
+    let handles: Vec<_> = SIBLING_SWEEPS
+        .iter()
+        .map(|&body| std::thread::spawn(move || post(addr, "/sweep", body)))
+        .collect();
+    for (body, handle) in SIBLING_SWEEPS.iter().zip(handles) {
+        let reply = handle.join().expect("t");
+        assert_eq!(reply.status, 200, "{body}: {}", reply.text());
+    }
+    assert_eq!(counters::SERVE_BATCH_BATCHES.get() - batches0, 0);
+    assert_eq!(counters::SERVE_BATCH_COALESCED.get() - coalesced0, 0);
+    assert_eq!(counters::SERVE_BATCH_POINTS.get() - points0, 0);
 }
 
 #[test]
