@@ -21,8 +21,9 @@ pub struct ObsOptions {
     /// `--trace`: write `trace.jsonl` + `manifest.json` into the trace
     /// directory.
     pub trace: bool,
-    /// `--profile`: print the self-time table to stderr and write
-    /// `profile.folded` into the trace directory.
+    /// `--profile`: print the self-time table and the device-evaluation
+    /// summary to stderr and write `profile.folded` into the trace
+    /// directory.
     pub profile: bool,
 }
 
@@ -78,9 +79,59 @@ pub fn finish(
     if opts.profile {
         let rows = nvpg_obs::self_time_table(&events);
         eprint!("{}", nvpg_obs::render_self_time_table(&rows));
+        eprint!("{}", device_eval_summary(&metrics));
         let path = dir.join("profile.folded");
         std::fs::write(&path, nvpg_obs::collapsed_stacks(&events))?;
         eprintln!("  wrote {}", path.display());
     }
     Ok(())
+}
+
+/// How the transient assemblies answered device evaluations: model
+/// calls, share-table hits, bypasses, and the deferred accept-step reloads
+/// the bypasses needed. The bypass rate is `bypasses / (evals +
+/// bypasses)`, so sharing raises it by shrinking the denominator, not by
+/// bypassing more.
+fn device_eval_summary(metrics: &MetricsSnapshot) -> String {
+    let c = |name| metrics.counter(name).unwrap_or(0);
+    let (evals, shares) = (c("solve.device_evals"), c("solve.device_shares"));
+    let (bypasses, deferred) = (c("solve.device_bypasses"), c("solve.deferred_loads"));
+    let rate = if evals + bypasses == 0 {
+        0.0
+    } else {
+        bypasses as f64 / (evals + bypasses) as f64
+    };
+    format!(
+        "device evaluation: {evals} model calls, {shares} shared, {bypasses} bypassed \
+         ({:.1}% bypass rate), {deferred} deferred reloads\n",
+        100.0 * rate
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn device_eval_summary_reads_the_solve_counters() {
+        let metrics = MetricsSnapshot {
+            counters: vec![
+                ("solve.device_evals", 30),
+                ("solve.device_shares", 5),
+                ("solve.device_bypasses", 10),
+                ("solve.deferred_loads", 2),
+            ],
+            gauges: Vec::new(),
+        };
+        let line = device_eval_summary(&metrics);
+        for part in [
+            "30 model calls",
+            "5 shared",
+            "10 bypassed",
+            "25.0% bypass rate",
+            "2 deferred",
+        ] {
+            assert!(line.contains(part), "{part:?} missing from {line:?}");
+        }
+    }
 }

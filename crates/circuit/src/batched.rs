@@ -24,6 +24,7 @@
 //! history identical to the serial engine's.
 
 use std::fmt;
+use std::rc::Rc;
 use std::str::FromStr;
 
 use nvpg_numeric::batched::{
@@ -32,7 +33,7 @@ use nvpg_numeric::batched::{
 
 use crate::circuit::Circuit;
 use crate::dc::{initial_vector, operating_point_from_report, operating_point_report, DcOptions};
-use crate::engine::{self, MnaContext, MnaSystem};
+use crate::engine::{self, AssemblyCache, MnaContext, MnaSystem};
 use crate::error::CircuitError;
 use crate::fault;
 use crate::rescue::RescueStats;
@@ -248,9 +249,12 @@ fn run_batch<B: BatchedSolver>(
     outcomes: &mut [LaneOutcome],
 ) {
     let mut newton = BatchedNewton::new(backend, opts.newton);
+    // One assembly cache (slot tapes, share tables) per topology, shared
+    // by every lane like the sparse symbolic schedule.
+    let cache = Rc::new(AssemblyCache::default());
     let mut systems: Vec<MnaSystem<'_>> = circuits
         .iter_mut()
-        .map(|c| MnaSystem::new(c, MnaContext::dc()))
+        .map(|c| MnaSystem::with_cache(c, MnaContext::dc(), Rc::clone(&cache)))
         .collect();
     newton.solve(&mut systems, x, outcomes);
 }

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use crate::element::{Element, NonlinearDevice};
+use crate::element::{Element, NonlinearDevice, MAX_TERMINALS};
 use crate::error::CircuitError;
 use crate::node::{NodeId, NodeTable};
 use crate::waveform::Waveform;
@@ -338,8 +338,16 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns [`CircuitError::DuplicateName`] if the device's name is
-    /// taken.
+    /// taken, or [`CircuitError::InvalidValue`] if it has more than
+    /// [`MAX_TERMINALS`] terminals.
     pub fn device(&mut self, device: Box<dyn NonlinearDevice + Send>) -> Result<(), CircuitError> {
+        let terminals = device.nodes().len();
+        if terminals > MAX_TERMINALS {
+            return Err(CircuitError::InvalidValue {
+                element: device.name().to_owned(),
+                reason: format!("{terminals} terminals (at most {MAX_TERMINALS} supported)"),
+            });
+        }
         self.register(Element::Nonlinear(device))
     }
 
@@ -475,6 +483,27 @@ impl Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn devices_beyond_the_stamp_capacity_are_rejected() {
+        #[derive(Debug)]
+        struct Wide([NodeId; MAX_TERMINALS + 1]);
+        impl NonlinearDevice for Wide {
+            fn name(&self) -> &str {
+                "x1"
+            }
+            fn nodes(&self) -> &[NodeId] {
+                &self.0
+            }
+            fn load(&self, _v: &[f64], _stamp: &mut crate::element::DeviceStamp) {}
+        }
+        let mut ckt = Circuit::new();
+        let err = ckt
+            .device(Box::new(Wide([Circuit::GROUND; MAX_TERMINALS + 1])))
+            .unwrap_err();
+        assert!(matches!(err, CircuitError::InvalidValue { .. }), "{err}");
+        assert_eq!(ckt.element_count(), 0);
+    }
 
     #[test]
     fn duplicate_names_rejected() {

@@ -8,10 +8,12 @@
 
 use std::collections::HashMap;
 
+use std::rc::Rc;
+
 use nvpg_numeric::newton::{NewtonOptions, NewtonOutcome, NewtonSolver};
 
 use crate::circuit::Circuit;
-use crate::engine::{MnaContext, MnaSystem};
+use crate::engine::{AssemblyCache, MnaContext, MnaSystem};
 use crate::error::CircuitError;
 use crate::fault::{self, FaultKind};
 use crate::node::NodeId;
@@ -201,12 +203,14 @@ fn operating_point_ladder(
     opts.newton.validate()?;
     let mut stats = RescueStats::default();
     let mut solver = crate::solver::build_newton(circuit, opts.newton, opts.solver);
+    // Every rung assembles the same topology in the DC context.
+    let cache = Rc::new(AssemblyCache::default());
     let mut saw_nonfinite = false;
 
     // 1. Plain Newton.
     let mut x = x0.to_vec();
     {
-        let mut sys = MnaSystem::new(circuit, MnaContext::dc());
+        let mut sys = MnaSystem::with_cache(circuit, MnaContext::dc(), Rc::clone(&cache));
         let outcome = solve_with_faults(&mut solver, &mut sys, &mut x, &mut stats);
         if outcome.is_converged() {
             return Ok((DcSolution::new(circuit, x), stats));
@@ -234,7 +238,7 @@ fn operating_point_ladder(
         };
         solver.set_options(damped);
         let mut x = x0.to_vec();
-        let mut sys = MnaSystem::new(circuit, MnaContext::dc());
+        let mut sys = MnaSystem::with_cache(circuit, MnaContext::dc(), Rc::clone(&cache));
         let outcome = solve_with_faults(&mut solver, &mut sys, &mut x, &mut stats);
         if outcome.is_converged() {
             stats.rescued_solves += 1;
@@ -259,7 +263,7 @@ fn operating_point_ladder(
                 extra_gmin: extra,
                 ..MnaContext::dc()
             };
-            let mut sys = MnaSystem::new(circuit, ctx);
+            let mut sys = MnaSystem::with_cache(circuit, ctx, Rc::clone(&cache));
             let outcome = solve_with_faults(&mut solver, &mut sys, &mut x, &mut stats);
             if matches!(outcome, NewtonOutcome::Cancelled { .. }) {
                 return Err(CircuitError::cancelled_at(format!(
@@ -274,7 +278,7 @@ fn operating_point_ladder(
         }
         if ok {
             // Final polish without the extra gmin.
-            let mut sys = MnaSystem::new(circuit, MnaContext::dc());
+            let mut sys = MnaSystem::with_cache(circuit, MnaContext::dc(), Rc::clone(&cache));
             let outcome = solve_with_faults(&mut solver, &mut sys, &mut x, &mut stats);
             if matches!(outcome, NewtonOutcome::Cancelled { .. }) {
                 return Err(CircuitError::cancelled_at("dc (gmin polish)".to_owned()));
@@ -299,7 +303,7 @@ fn operating_point_ladder(
                 ..MnaContext::dc()
             };
             let mut backup = x.clone();
-            let mut sys = MnaSystem::new(circuit, ctx);
+            let mut sys = MnaSystem::with_cache(circuit, ctx, Rc::clone(&cache));
             let outcome = solve_with_faults(&mut solver, &mut sys, &mut x, &mut stats);
             if matches!(outcome, NewtonOutcome::Cancelled { .. }) {
                 return Err(CircuitError::cancelled_at(format!(

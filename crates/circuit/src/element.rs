@@ -10,9 +10,15 @@
 use crate::node::NodeId;
 use crate::waveform::Waveform;
 
+/// Most terminals a [`NonlinearDevice`] may have. [`DeviceStamp`] stores
+/// its entries inline at this capacity, so evaluating, caching and
+/// copying a stamp never touches the heap.
+pub const MAX_TERMINALS: usize = 4;
+
 /// Per-evaluation output of a nonlinear device.
 ///
-/// For a device with `n` terminals:
+/// For a device with `n` terminals (`n ≤` [`MAX_TERMINALS`]), indices
+/// `t, u < n` are meaningful and every entry beyond them stays zero:
 /// * `current[t]` — current flowing **into the device** through terminal
 ///   `t` (amps);
 /// * `conductance[t][u]` — `∂current[t] / ∂v[u]` (siemens);
@@ -20,42 +26,65 @@ use crate::waveform::Waveform;
 ///   transient engine as an additional capacitive current.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeviceStamp {
+    terminals: usize,
     /// Terminal currents into the device.
-    pub current: Vec<f64>,
+    pub current: [f64; MAX_TERMINALS],
     /// Jacobian of terminal currents w.r.t. terminal voltages.
-    pub conductance: Vec<Vec<f64>>,
+    pub conductance: [[f64; MAX_TERMINALS]; MAX_TERMINALS],
     /// Terminal charges (for charge-based capacitance models).
-    pub charge: Vec<f64>,
+    pub charge: [f64; MAX_TERMINALS],
     /// Jacobian of terminal charges w.r.t. terminal voltages.
-    pub capacitance: Vec<Vec<f64>>,
+    pub capacitance: [[f64; MAX_TERMINALS]; MAX_TERMINALS],
 }
 
 impl DeviceStamp {
     /// Creates a zeroed stamp for an `n`-terminal device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`MAX_TERMINALS`].
     pub fn new(n: usize) -> Self {
+        assert!(
+            n <= MAX_TERMINALS,
+            "a device stamp holds at most {MAX_TERMINALS} terminals, not {n}"
+        );
         DeviceStamp {
-            current: vec![0.0; n],
-            conductance: vec![vec![0.0; n]; n],
-            charge: vec![0.0; n],
-            capacitance: vec![vec![0.0; n]; n],
+            terminals: n,
+            ..DeviceStamp::default()
         }
     }
 
-    /// Zeroes all entries, keeping allocations.
+    /// Zeroes all entries.
     pub fn clear(&mut self) {
-        self.current.fill(0.0);
-        self.charge.fill(0.0);
-        for row in &mut self.conductance {
-            row.fill(0.0);
-        }
-        for row in &mut self.capacitance {
-            row.fill(0.0);
-        }
+        *self = DeviceStamp::new(self.terminals);
     }
 
     /// Number of terminals this stamp covers.
     pub fn terminals(&self) -> usize {
-        self.current.len()
+        self.terminals
+    }
+}
+
+/// Exact identity of a device's compact model, for sharing evaluations
+/// between instances (see [`NonlinearDevice::share_key`]).
+///
+/// Two devices with equal keys must compute bit-identical stamps from
+/// bit-identical terminal voltages. The key is compared in full, never
+/// through a hash: `model` names the implementation (for example its
+/// `std::any::type_name`), and `words` holds every input of
+/// [`NonlinearDevice::load`] other than the voltages, as exact bit
+/// patterns (`f64::to_bits` for parameters).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ShareKey {
+    model: &'static str,
+    words: Vec<u64>,
+}
+
+impl ShareKey {
+    /// A key for the model implementation `model` with parameter words
+    /// `words`.
+    pub fn new(model: &'static str, words: Vec<u64>) -> Self {
+        ShareKey { model, words }
     }
 }
 
@@ -68,14 +97,49 @@ pub trait NonlinearDevice: std::fmt::Debug {
     /// Instance name (diagnostics and trace labels).
     fn name(&self) -> &str;
 
-    /// Terminal nodes, in the device's own fixed order.
+    /// Terminal nodes, in the device's own fixed order. At most
+    /// [`MAX_TERMINALS`].
     fn nodes(&self) -> &[NodeId];
 
     /// Evaluates currents/charges and their derivatives at the terminal
     /// voltages `v` (same order as [`nodes`](Self::nodes); ground = 0 V).
     ///
     /// `stamp` arrives zeroed with `stamp.terminals() == nodes().len()`.
+    ///
+    /// The result must depend only on `v` and the device's current state,
+    /// deterministically. The engine may call `load` later than the step
+    /// it belongs to (a deferred reload after
+    /// [`accept_step`](Self::accept_step)), and for devices with a
+    /// [`share_key`](Self::share_key) it may reuse the stamp another
+    /// instance computed from the same voltages.
     fn load(&self, v: &[f64], stamp: &mut DeviceStamp);
+
+    /// Writes the terminal charges at `v` into `q` (one per terminal,
+    /// arriving zeroed).
+    ///
+    /// Called on every accepted step, where only the charges are needed
+    /// for the integration history. It must produce exactly the bits
+    /// [`load`](Self::load) writes into `stamp.charge` at the same `v`
+    /// and state. The default runs a full `load`; models whose charges
+    /// are cheap override it through a helper shared with `load`, and
+    /// models without charge (resistive ones) override it with a no-op.
+    fn charge(&self, v: &[f64], q: &mut [f64]) {
+        let mut stamp = DeviceStamp::new(v.len());
+        self.load(v, &mut stamp);
+        q.copy_from_slice(&stamp.charge[..v.len()]);
+    }
+
+    /// Exact model identity for evaluation sharing, or `None` (the
+    /// default) to always evaluate this instance itself.
+    ///
+    /// Instances returning equal keys are grouped at assembly set-up, and
+    /// a stamp one of them computed is handed to another whose terminal
+    /// voltages match bit for bit. Only stateless models may return a
+    /// key: the key must capture every input of [`load`](Self::load)
+    /// besides the voltages, and `load` must be a pure function of them.
+    fn share_key(&self) -> Option<ShareKey> {
+        None
+    }
 
     /// Called once when a transient step from `t` to `t + dt` is accepted,
     /// with the solved terminal voltages. State machines (e.g. MTJ
@@ -84,9 +148,20 @@ pub trait NonlinearDevice: std::fmt::Debug {
     fn accept_step(&mut self, _v: &[f64], _t: f64, _dt: f64) {}
 
     /// Internal state snapshot for tracing (e.g. MTJ parallel/antiparallel
-    /// flag). Returns `(label, value)` pairs.
+    /// flag). Returns `(label, value)` pairs, with the same labels in the
+    /// same order for the device's whole lifetime.
     fn state(&self) -> Vec<(String, f64)> {
         Vec::new()
+    }
+
+    /// Writes the values of [`state`](Self::state), in its label order,
+    /// into `out` (`out.len()` is the number of labels). Called per
+    /// recorded transient sample, so implementations should not allocate;
+    /// the default goes through `state`.
+    fn state_values(&self, out: &mut [f64]) {
+        for (o, (_, v)) in out.iter_mut().zip(self.state()) {
+            *o = v;
+        }
     }
 
     /// Scale factor on the engine's device-eval bypass tolerance.
@@ -257,12 +332,19 @@ mod tests {
     fn stamp_allocation_and_clear() {
         let mut s = DeviceStamp::new(3);
         assert_eq!(s.terminals(), 3);
+        assert_eq!(DeviceStamp::new(MAX_TERMINALS).terminals(), MAX_TERMINALS);
         s.current[1] = 1.0;
         s.conductance[2][0] = 5.0;
         s.charge[0] = 2.0;
         s.capacitance[1][1] = 3.0;
         s.clear();
         assert_eq!(s, DeviceStamp::new(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 terminals")]
+    fn stamp_rejects_too_many_terminals() {
+        let _ = DeviceStamp::new(MAX_TERMINALS + 1);
     }
 
     #[test]

@@ -6,12 +6,16 @@
 //! Kirchhoff's current law per node (currents *leaving* the node sum to
 //! zero) plus one constraint row per voltage source.
 
+use std::cell::{Cell, OnceCell, RefCell};
+use std::collections::HashMap;
+use std::rc::Rc;
+
 use nvpg_numeric::matrix::DenseMatrix;
 use nvpg_numeric::newton::NonlinearSystem;
 use nvpg_numeric::sparse::{CscMatrix, PatternBuilder, SparsePattern};
 
 use crate::circuit::Circuit;
-use crate::element::{DeviceStamp, Element};
+use crate::element::{DeviceStamp, Element, NonlinearDevice, ShareKey, MAX_TERMINALS};
 use crate::fault::FaultKind;
 use crate::node::NodeId;
 
@@ -41,9 +45,9 @@ pub(crate) struct Integration {
     /// Previous accepted current through each linear capacitor
     /// (trapezoidal history; zero at the DC starting point).
     pub cap_i_prev: Vec<f64>,
-    /// Previous accepted terminal charges of each nonlinear device
-    /// (element order, nonlinear devices only).
-    pub dev_q_prev: Vec<Vec<f64>>,
+    /// Previous accepted terminal charges of the nonlinear devices, flat:
+    /// device `d`'s terminals start at the system's `dev_off[d]`.
+    pub dev_q_prev: Vec<f64>,
     /// Previous accepted branch current of each inductor (element order,
     /// inductors only).
     pub ind_i_prev: Vec<f64>,
@@ -74,6 +78,147 @@ impl MnaContext {
     }
 }
 
+/// State of a device's cached linearisation (its stamp and the terminal
+/// voltages it was computed at).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Linearisation {
+    /// Nothing cached yet: the next assembly evaluates.
+    Invalid,
+    /// The stamp was computed at the cached voltages.
+    Ready,
+    /// The cached voltages are current but the stamp is stale: a step was
+    /// accepted (and the device's state advanced) since it was computed.
+    /// The assembly reloads it at the cached voltages only if its bypass
+    /// test reuses it; otherwise the device is evaluated at the new
+    /// voltages anyway and the reload is never needed.
+    Pending,
+}
+
+/// Assembly state shared by every system over one topology: the
+/// Jacobian slot tapes and the share tables. One cache serves the lanes
+/// of a batch (like the sparse symbolic schedule) and the systems of a DC
+/// rescue ladder; it is single-threaded (`Rc`), like the systems.
+#[derive(Debug, Default)]
+pub(crate) struct AssemblyCache {
+    /// Value-slot tapes, indexed by [`AssemblyCache::tape_index`]: for
+    /// each assembly context (DC, transient) and Jacobian storage (dense
+    /// row-major, CSC), the storage index of every Jacobian add, in
+    /// assembly order. Every assembly in a given context makes the same
+    /// adds in the same order — the stamped *positions* depend only on
+    /// the topology — so the first full assembly records its slots and
+    /// every later one replays them as `values[tape[k]] += g`, with no
+    /// per-add position search.
+    tapes: [OnceCell<Vec<u32>>; 4],
+    /// One share table per sharing class index. A system's classes use
+    /// the tables of the same index; entries carry the owning system, so
+    /// systems whose classes differ (the lanes of a Monte-Carlo batch)
+    /// never see each other's stamps. Lanes assemble one after another,
+    /// so one set of tables serves the whole batch.
+    tables: RefCell<Vec<ShareTable>>,
+    /// Owner tags handed out so far.
+    owners: Cell<u64>,
+}
+
+impl AssemblyCache {
+    fn tape_index(transient: bool, csc: bool) -> usize {
+        usize::from(transient) * 2 + usize::from(csc)
+    }
+
+    /// Registers a system whose class `c` has `instances[c]` members:
+    /// makes sure each class has a table, and returns the system's owner
+    /// tag.
+    fn register(&self, instances: &[usize]) -> u64 {
+        let mut tables = self.tables.borrow_mut();
+        for (c, &n) in instances.iter().enumerate() {
+            let slots = ShareTable::slots_for(n);
+            match tables.get_mut(c) {
+                Some(t) if t.entries.len() >= slots => {}
+                Some(t) => *t = ShareTable::with_slots(slots),
+                None => tables.push(ShareTable::with_slots(slots)),
+            }
+        }
+        let owner = self.owners.get();
+        self.owners.set(owner + 1);
+        owner
+    }
+}
+
+/// Bit patterns of up to [`MAX_TERMINALS`] terminal voltages (unused
+/// trailing words zero).
+type VoltageBits = [u64; MAX_TERMINALS];
+
+fn voltage_bits(v: &[f64]) -> VoltageBits {
+    let mut bits = [0; MAX_TERMINALS];
+    for (b, x) in bits.iter_mut().zip(v) {
+        *b = x.to_bits();
+    }
+    bits
+}
+
+/// A direct-mapped cache of stamps for one class of identical device
+/// instances (equal [`ShareKey`]s), keyed exactly by the owning system
+/// and the bit patterns of the terminal voltages. A hit returns exactly
+/// the stamp `load` would compute; the hash only picks the slot, and a
+/// collision merely evicts.
+#[derive(Debug)]
+struct ShareTable {
+    entries: Vec<Option<(u64, VoltageBits, DeviceStamp)>>,
+}
+
+/// Slots per share table, at most: a class's distinct voltage tuples in
+/// one assembly are the distinct cell states of a mostly uniform array.
+const SHARE_TABLE_MAX: usize = 128;
+
+impl ShareTable {
+    fn slots_for(instances: usize) -> usize {
+        instances.next_power_of_two().min(SHARE_TABLE_MAX)
+    }
+
+    fn with_slots(slots: usize) -> Self {
+        ShareTable {
+            entries: vec![None; slots],
+        }
+    }
+
+    fn slot(&self, bits: &VoltageBits) -> usize {
+        let h = bits.iter().fold(0u64, |h, &b| {
+            (h ^ b).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+        });
+        (h as usize) & (self.entries.len() - 1)
+    }
+}
+
+/// Evaluates `dev` at `v` into `stamp`, through `table` (as `owner`) when
+/// the device belongs to a sharing class. Returns `true` when the table
+/// answered (no model call).
+fn evaluate(
+    dev: &dyn NonlinearDevice,
+    table: Option<(&mut ShareTable, u64)>,
+    v: &[f64],
+    stamp: &mut DeviceStamp,
+) -> bool {
+    let Some((table, owner)) = table else {
+        stamp.clear();
+        dev.load(v, stamp);
+        return false;
+    };
+    let bits = voltage_bits(v);
+    let slot = table.slot(&bits);
+    if let Some((o, key, hit)) = &table.entries[slot] {
+        if *o == owner && *key == bits {
+            stamp.clone_from(hit);
+            return true;
+        }
+    }
+    stamp.clear();
+    dev.load(v, stamp);
+    table.entries[slot] = Some((owner, bits, stamp.clone()));
+    false
+}
+
+/// No sharing class.
+const NO_CLASS: u32 = u32::MAX;
+
 /// The assembled nonlinear system for one circuit + context.
 pub(crate) struct MnaSystem<'a> {
     pub circuit: &'a mut Circuit,
@@ -84,29 +229,40 @@ pub(crate) struct MnaSystem<'a> {
     branch_idx: Vec<Option<usize>>,
     nv: usize,
     dim: usize,
-    /// Scratch stamps, one per nonlinear device (ordinal order).
+    /// Offset of each nonlinear device's first terminal (ordinal order)
+    /// in the flat per-terminal arrays; one extra entry holds the total.
+    dev_off: Vec<usize>,
+    /// Cached stamps, one per nonlinear device (ordinal order).
     stamps: Vec<DeviceStamp>,
     /// Device-eval bypass tolerance on terminal voltages; `0.0` disables
     /// bypass (the DC default). Set by the transient driver from
     /// [`crate::transient::TransientOptions::device_bypass_tol`].
     bypass_tol: f64,
-    /// Terminal voltages at which each device's stamp was last computed.
-    dev_v_cache: Vec<Vec<f64>>,
-    /// Whether the corresponding stamp/voltage cache entry is usable.
-    dev_cache_valid: Vec<bool>,
-    /// Scratch: current terminal voltages of the device being assembled.
-    dev_v_scratch: Vec<f64>,
-    /// Scratch: voltage deltas vs the cached linearisation point.
-    dev_dv_scratch: Vec<f64>,
-    /// Full `dev.load` evaluations performed (bypass telemetry).
+    /// Terminal voltages at which each device's stamp was (or, when
+    /// pending, will be) computed. Flat, indexed through `dev_off`.
+    dev_v_cache: Vec<f64>,
+    /// State of each device's cached linearisation.
+    dev_lin: Vec<Linearisation>,
+    /// Sharing class of each device (classes have at least two
+    /// instances), or [`NO_CLASS`].
+    dev_class: Vec<u32>,
+    /// Slot tapes and share tables, shared with every system over this
+    /// topology.
+    cache: Rc<AssemblyCache>,
+    /// This system's tag in the share tables.
+    owner: u64,
+    /// Model evaluations at the assembly's own voltages (bypass test
+    /// failed and no share-table hit).
     device_evals: u64,
     /// Evaluations skipped by re-emitting the cached stamp.
     device_bypasses: u64,
+    /// Evaluations answered by a share table instead of the model.
+    device_shares: u64,
+    /// Pending linearisations materialised because a bypass reused them.
+    deferred_loads: u64,
 }
 
-/// Jacobian destination for [`MnaSystem::assemble`]: either the real
-/// matrix (full Newton iteration) or a no-op sink (residual-only
-/// evaluation for modified-Newton stale iterations). Monomorphised, so
+/// Jacobian destination for [`MnaSystem::assemble`]. Monomorphised, so
 /// the residual-only path pays nothing for the abstraction.
 pub(crate) trait JacSink {
     /// `false` for the no-op sink — lets assembly skip derivative-only
@@ -124,19 +280,57 @@ impl JacSink for NoJac {
     fn add(&mut self, _r: usize, _c: usize, _v: f64) {}
 }
 
-impl JacSink for DenseMatrix {
-    const ACTIVE: bool = true;
-    #[inline]
-    fn add(&mut self, r: usize, c: usize, v: f64) {
-        DenseMatrix::add(self, r, c, v);
+/// A Jacobian in either storage the Newton backends use.
+enum Jacobian<'m> {
+    Dense(&'m mut DenseMatrix),
+    Csc(&'m mut CscMatrix),
+}
+
+impl Jacobian<'_> {
+    fn values_mut(&mut self) -> &mut [f64] {
+        match self {
+            Jacobian::Dense(m) => m.values_mut(),
+            Jacobian::Csc(m) => m.values_mut(),
+        }
     }
 }
 
-impl JacSink for CscMatrix {
+/// First assembly in a context: resolves each add's value slot, stamps
+/// through it, and records it on the tape.
+struct TapeRecorder<'m> {
+    jacobian: Jacobian<'m>,
+    tape: Vec<u32>,
+}
+
+impl JacSink for TapeRecorder<'_> {
     const ACTIVE: bool = true;
     #[inline]
     fn add(&mut self, r: usize, c: usize, v: f64) {
-        CscMatrix::add(self, r, c, v);
+        let slot = match &mut self.jacobian {
+            Jacobian::Dense(m) => r * m.cols() + c,
+            Jacobian::Csc(m) => m
+                .slot(r, c)
+                .unwrap_or_else(|| panic!("stamp at ({r}, {c}) outside the sparse pattern")),
+        };
+        self.jacobian.values_mut()[slot] += v;
+        self.tape
+            .push(u32::try_from(slot).expect("Jacobian slot index exceeds u32"));
+    }
+}
+
+/// Later assemblies: replays the recorded slots in order.
+struct TapeReplay<'m, 't> {
+    values: &'m mut [f64],
+    tape: &'t [u32],
+    next: usize,
+}
+
+impl JacSink for TapeReplay<'_, '_> {
+    const ACTIVE: bool = true;
+    #[inline]
+    fn add(&mut self, _r: usize, _c: usize, v: f64) {
+        self.values[self.tape[self.next] as usize] += v;
+        self.next += 1;
     }
 }
 
@@ -195,21 +389,53 @@ fn logistic(z: f64) -> f64 {
 }
 
 impl<'a> MnaSystem<'a> {
+    /// A system with its own assembly cache.
     pub(crate) fn new(circuit: &'a mut Circuit, ctx: MnaContext) -> Self {
+        Self::with_cache(circuit, ctx, Rc::default())
+    }
+
+    /// A system using `cache`, which every system passed it must share
+    /// one topology with.
+    pub(crate) fn with_cache(
+        circuit: &'a mut Circuit,
+        ctx: MnaContext,
+        cache: Rc<AssemblyCache>,
+    ) -> Self {
         let branch_idx = circuit.branch_indices();
         let nv = circuit.nodes.unknown_count();
         let dim = circuit.unknown_count();
-        let stamps: Vec<DeviceStamp> = circuit
-            .elements
+        let mut dev_off = vec![0];
+        let mut stamps = Vec::new();
+        let mut keys = Vec::new();
+        for e in &circuit.elements {
+            if let Element::Nonlinear(dev) = e {
+                let nt = dev.nodes().len();
+                stamps.push(DeviceStamp::new(nt));
+                dev_off.push(dev_off[dev_off.len() - 1] + nt);
+                keys.push(dev.share_key().map(|key| (nt, key)));
+            }
+        }
+        // Group devices with equal model keys; only classes of two or more
+        // instances get a share table.
+        let mut counts: HashMap<&(usize, ShareKey), usize> = HashMap::new();
+        for key in keys.iter().flatten() {
+            *counts.entry(key).or_default() += 1;
+        }
+        let mut class_of: HashMap<&(usize, ShareKey), u32> = HashMap::new();
+        let mut instances = Vec::new();
+        let dev_class = keys
             .iter()
-            .filter_map(|e| match e {
-                Element::Nonlinear(dev) => Some(DeviceStamp::new(dev.nodes().len())),
-                _ => None,
+            .map(|key| match key {
+                Some(key) if counts[key] >= 2 => *class_of.entry(key).or_insert_with(|| {
+                    instances.push(counts[key]);
+                    u32::try_from(instances.len() - 1).expect("share classes fit u32")
+                }),
+                _ => NO_CLASS,
             })
             .collect();
-        let dev_v_cache: Vec<Vec<f64>> = stamps.iter().map(|s| vec![0.0; s.terminals()]).collect();
-        let max_terminals = stamps.iter().map(|s| s.terminals()).max().unwrap_or(0);
+        let owner = cache.register(&instances);
         let n_devs = stamps.len();
+        let terminals = dev_off[n_devs];
         MnaSystem {
             circuit,
             ctx,
@@ -217,14 +443,18 @@ impl<'a> MnaSystem<'a> {
             branch_idx,
             nv,
             dim,
+            dev_off,
             stamps,
             bypass_tol: 0.0,
-            dev_v_cache,
-            dev_cache_valid: vec![false; n_devs],
-            dev_v_scratch: vec![0.0; max_terminals],
-            dev_dv_scratch: vec![0.0; max_terminals],
+            dev_v_cache: vec![0.0; terminals],
+            dev_lin: vec![Linearisation::Invalid; n_devs],
+            dev_class,
+            cache,
+            owner,
             device_evals: 0,
             device_bypasses: 0,
+            device_shares: 0,
+            deferred_loads: 0,
         }
     }
 
@@ -236,7 +466,8 @@ impl<'a> MnaSystem<'a> {
         self.bypass_tol = tol;
     }
 
-    /// Full device-model evaluations performed.
+    /// Model evaluations at the assembly's own terminal voltages: the
+    /// bypass test failed and no share table held the stamp.
     pub(crate) fn device_evals(&self) -> u64 {
         self.device_evals
     }
@@ -246,41 +477,49 @@ impl<'a> MnaSystem<'a> {
         self.device_bypasses
     }
 
+    /// Evaluations answered by a share table (an identical instance had
+    /// already computed the stamp at bit-identical voltages).
+    pub(crate) fn device_shares(&self) -> u64 {
+        self.device_shares
+    }
+
+    /// Deferred accept-step reloads that a bypass actually needed.
+    pub(crate) fn deferred_loads(&self) -> u64 {
+        self.deferred_loads
+    }
+
     /// Initialises integration state from a converged solution `x` at the
     /// start of a transient run.
     pub(crate) fn init_integration(&mut self, x: &[f64], method: IntegrationMethod) {
         let mut cap_v_prev = Vec::new();
-        let mut dev_q_prev = Vec::new();
+        let mut ind_i_prev = Vec::new();
+        let mut dev_q_prev = vec![0.0; self.dev_v_cache.len()];
         let mut dev_ord = 0usize;
-        for e in &self.circuit.elements {
+        for (eidx, e) in self.circuit.elements.iter().enumerate() {
             match e {
                 Element::Capacitor { a, b, .. } => {
                     cap_v_prev.push(volt(x, *a) - volt(x, *b));
                 }
+                // Inductor currents: take their DC branch solution as
+                // history.
+                Element::Inductor { .. } => {
+                    let br = self.branch_idx[eidx].expect("inductor branch");
+                    ind_i_prev.push(x[br]);
+                }
                 Element::Nonlinear(dev) => {
-                    let cache = &mut self.dev_v_cache[dev_ord];
+                    let range = self.dev_off[dev_ord]..self.dev_off[dev_ord + 1];
+                    let cache = &mut self.dev_v_cache[range.clone()];
                     for (c, &n) in cache.iter_mut().zip(dev.nodes()) {
                         *c = volt(x, n);
                     }
-                    let stamp = &mut self.stamps[dev_ord];
-                    stamp.clear();
-                    dev.load(cache, stamp);
-                    self.dev_cache_valid[dev_ord] = true;
-                    dev_q_prev.push(stamp.charge.clone());
+                    dev.charge(cache, &mut dev_q_prev[range]);
+                    self.dev_lin[dev_ord] = Linearisation::Pending;
                     dev_ord += 1;
                 }
                 _ => {}
             }
         }
         let n_caps = cap_v_prev.len();
-        // Inductor currents: take their DC branch solution as history.
-        let mut ind_i_prev = Vec::new();
-        for (eidx, e) in self.circuit.elements.iter().enumerate() {
-            if matches!(e, Element::Inductor { .. }) {
-                let br = self.branch_idx[eidx].expect("inductor branch");
-                ind_i_prev.push(x[br]);
-            }
-        }
         self.ctx.integ = Some(Integration {
             method,
             dt: 0.0,
@@ -293,14 +532,25 @@ impl<'a> MnaSystem<'a> {
 
     /// Commits an accepted transient step: updates companion-model history
     /// and lets devices advance their internal state.
+    ///
+    /// Devices contribute only their charges here. Their linearisations
+    /// become pending at the accepted voltages, and the next assembly
+    /// reloads one only if its bypass test reuses it.
     pub(crate) fn accept_step(&mut self, x: &[f64], t: f64, dt: f64) {
         let mut cap_ord = 0usize;
         let mut dev_ord = 0usize;
         let mut ind_ord = 0usize;
-        let branch_idx = self.branch_idx.clone();
-        // Split borrows: take the integration state out, put it back after.
-        let mut integ = self.ctx.integ.take().expect("accept_step without init");
-        for (eidx, e) in self.circuit.elements.iter_mut().enumerate() {
+        let MnaSystem {
+            circuit,
+            ctx,
+            branch_idx,
+            dev_off,
+            dev_v_cache,
+            dev_lin,
+            ..
+        } = self;
+        let integ = ctx.integ.as_mut().expect("accept_step without init");
+        for (eidx, e) in circuit.elements.iter_mut().enumerate() {
             match e {
                 Element::Inductor { .. } => {
                     let br = branch_idx[eidx].expect("inductor branch");
@@ -320,26 +570,57 @@ impl<'a> MnaSystem<'a> {
                     cap_ord += 1;
                 }
                 Element::Nonlinear(dev) => {
-                    let cache = &mut self.dev_v_cache[dev_ord];
+                    let range = dev_off[dev_ord]..dev_off[dev_ord + 1];
+                    let cache = &mut dev_v_cache[range.clone()];
                     for (c, &n) in cache.iter_mut().zip(dev.nodes().iter()) {
                         *c = volt(x, n);
                     }
                     dev.accept_step(cache, t, dt);
-                    // Re-evaluate charge at the accepted voltages/state;
-                    // this also refreshes the bypass linearisation point,
-                    // so a stamp cached here reflects the post-advance
-                    // device state.
-                    let stamp = &mut self.stamps[dev_ord];
-                    stamp.clear();
-                    dev.load(cache, stamp);
-                    self.dev_cache_valid[dev_ord] = true;
-                    integ.dev_q_prev[dev_ord].copy_from_slice(&stamp.charge);
+                    // Charges at the accepted voltages and post-advance
+                    // state: the backward-Euler history.
+                    let q = &mut integ.dev_q_prev[range];
+                    q.fill(0.0);
+                    dev.charge(cache, q);
+                    dev_lin[dev_ord] = Linearisation::Pending;
                     dev_ord += 1;
                 }
                 _ => {}
             }
         }
-        self.ctx.integ = Some(integ);
+    }
+
+    /// Full assembly into `jacobian`: records the context's slot tape on
+    /// first use, replays it afterwards.
+    fn assemble_jacobian(&mut self, x: &[f64], residual: &mut [f64], mut jacobian: Jacobian<'_>) {
+        let index = AssemblyCache::tape_index(
+            self.ctx.integ.is_some(),
+            matches!(jacobian, Jacobian::Csc(_)),
+        );
+        let cache = Rc::clone(&self.cache);
+        let cell = &cache.tapes[index];
+        match cell.get() {
+            Some(tape) => {
+                let mut sink = TapeReplay {
+                    values: jacobian.values_mut(),
+                    tape,
+                    next: 0,
+                };
+                self.assemble(x, residual, &mut sink);
+                assert_eq!(
+                    sink.next,
+                    tape.len(),
+                    "assembly made a different number of Jacobian adds than its slot tape"
+                );
+            }
+            None => {
+                let mut sink = TapeRecorder {
+                    jacobian,
+                    tape: Vec::new(),
+                };
+                self.assemble(x, residual, &mut sink);
+                let _ = cell.set(sink.tape);
+            }
+        }
     }
 }
 
@@ -349,7 +630,7 @@ impl NonlinearSystem for MnaSystem<'_> {
     }
 
     fn eval(&mut self, x: &[f64], residual: &mut [f64], jacobian: &mut DenseMatrix) {
-        self.assemble(x, residual, jacobian);
+        self.assemble_jacobian(x, residual, Jacobian::Dense(jacobian));
 
         // Injected faults corrupt the assembled system at its natural
         // site; `RejectStep` and `Stall` are handled by the analysis
@@ -378,7 +659,7 @@ impl NonlinearSystem for MnaSystem<'_> {
     }
 
     fn eval_sparse(&mut self, x: &[f64], residual: &mut [f64], jacobian: &mut CscMatrix) -> bool {
-        self.assemble(x, residual, jacobian);
+        self.assemble_jacobian(x, residual, Jacobian::Csc(jacobian));
 
         // Mirror `eval`'s fault handling exactly, so the fault-injection
         // suite exercises the same corruption sites on the sparse path.
@@ -401,8 +682,13 @@ impl NonlinearSystem for MnaSystem<'_> {
 impl MnaSystem<'_> {
     /// Stamps the whole MNA system into `residual` and `jacobian`; the
     /// latter may be [`NoJac`], which turns this into the residual-only
-    /// evaluation used by stale modified-Newton iterations.
+    /// evaluation used by stale modified-Newton iterations. With an active
+    /// sink, the sequence of `(row, col)` adds depends only on the
+    /// topology and on whether the context is transient — the invariant
+    /// the slot tapes rely on.
     fn assemble<J: JacSink>(&mut self, x: &[f64], residual: &mut [f64], jacobian: &mut J) {
+        let cache = Rc::clone(&self.cache);
+        let mut tables = cache.tables.borrow_mut();
         let gmin = self.circuit.gmin + self.ctx.extra_gmin;
         for i in 0..self.nv {
             residual[i] += gmin * x[i];
@@ -585,10 +871,12 @@ impl MnaSystem<'_> {
                 Element::Nonlinear(dev) => {
                     let nodes = dev.nodes();
                     let nt = nodes.len();
-                    let vs = &mut self.dev_v_scratch[..nt];
-                    for (s, &n) in vs.iter_mut().zip(nodes) {
+                    let off = self.dev_off[dev_ord];
+                    let mut v_now = [0.0; MAX_TERMINALS];
+                    for (s, &n) in v_now.iter_mut().zip(nodes) {
                         *s = volt(x, n);
                     }
+                    let vs = &v_now[..nt];
 
                     // Device-eval bypass: if every terminal voltage is
                     // within tolerance of the cached linearisation point,
@@ -596,23 +884,36 @@ impl MnaSystem<'_> {
                     // I–V model. Devices veto by scaling the tolerance to
                     // zero (e.g. an MTJ mid-switching).
                     let tol = self.bypass_tol * dev.bypass_tolerance_scale();
-                    let cache = &mut self.dev_v_cache[dev_ord];
+                    let cache = &mut self.dev_v_cache[off..off + nt];
+                    let lin = self.dev_lin[dev_ord];
                     let bypass = tol > 0.0
-                        && self.dev_cache_valid[dev_ord]
+                        && lin != Linearisation::Invalid
                         && vs
                             .iter()
                             .zip(cache.iter())
                             .all(|(s, c)| (s - c).abs() <= tol);
                     let stamp = &mut self.stamps[dev_ord];
+                    let table = match self.dev_class[dev_ord] {
+                        NO_CLASS => None,
+                        class => Some((&mut tables[class as usize], self.owner)),
+                    };
                     if bypass {
                         self.device_bypasses += 1;
+                        if lin == Linearisation::Pending {
+                            // The deferred accept-step reload, at the
+                            // voltages (and device state) it was due at.
+                            evaluate(&**dev, table, cache, stamp);
+                            self.deferred_loads += 1;
+                        }
                     } else {
-                        stamp.clear();
-                        dev.load(vs, stamp);
+                        if evaluate(&**dev, table, vs, stamp) {
+                            self.device_shares += 1;
+                        } else {
+                            self.device_evals += 1;
+                        }
                         cache.copy_from_slice(vs);
-                        self.dev_cache_valid[dev_ord] = true;
-                        self.device_evals += 1;
                     }
+                    self.dev_lin[dev_ord] = Linearisation::Ready;
 
                     // Linearise the stamp at the cached point:
                     // i(v) ≈ i(v_c) + G·(v − v_c), q(v) ≈ q(v_c) + C·(v − v_c).
@@ -621,10 +922,11 @@ impl MnaSystem<'_> {
                     // bounded by the curvature over a ≤ tol interval, and
                     // the stamped Jacobian G stays consistent with the
                     // residual, so Newton sees a genuinely linear device.
-                    let dv = &mut self.dev_dv_scratch[..nt];
+                    let mut dv = [0.0; MAX_TERMINALS];
                     for ((d, s), c) in dv.iter_mut().zip(vs.iter()).zip(cache.iter()) {
                         *d = s - c;
                     }
+                    let dv = &dv[..nt];
                     for (t, &node_t) in nodes.iter().enumerate() {
                         let mut i_t = stamp.current[t];
                         let mut q_t = stamp.charge[t];
@@ -634,7 +936,7 @@ impl MnaSystem<'_> {
                         }
                         // Charge contribution (backward Euler) in transient.
                         if let Some(integ) = &self.ctx.integ {
-                            i_t += (q_t - integ.dev_q_prev[dev_ord][t]) / integ.dt;
+                            i_t += (q_t - integ.dev_q_prev[off + t]) / integ.dt;
                         }
                         add_current(residual, node_t, i_t);
                         if J::ACTIVE {
@@ -693,5 +995,138 @@ fn stamp_g_only<J: JacSink>(jacobian: &mut J, a: NodeId, b: NodeId, g: f64) {
         }
     } else if let Some(ib) = b.unknown_index() {
         jacobian.add(ib, ib, g);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A stateless junction diode with a linear charge: shareable.
+    #[derive(Debug)]
+    struct Diode {
+        name: String,
+        nodes: [NodeId; 2],
+    }
+
+    impl NonlinearDevice for Diode {
+        fn name(&self) -> &str {
+            &self.name
+        }
+
+        fn nodes(&self) -> &[NodeId] {
+            &self.nodes
+        }
+
+        fn load(&self, v: &[f64], stamp: &mut DeviceStamp) {
+            let e = ((v[0] - v[1]) / 0.025).exp();
+            let (i, g) = (1e-14 * (e - 1.0), 1e-14 / 0.025 * e);
+            stamp.current[..2].copy_from_slice(&[i, -i]);
+            stamp.conductance[0][..2].copy_from_slice(&[g, -g]);
+            stamp.conductance[1][..2].copy_from_slice(&[-g, g]);
+            let c = 1e-15;
+            stamp.charge[..2].copy_from_slice(&[c * (v[0] - v[1]), c * (v[1] - v[0])]);
+            stamp.capacitance[0][..2].copy_from_slice(&[c, -c]);
+            stamp.capacitance[1][..2].copy_from_slice(&[-c, c]);
+        }
+
+        fn share_key(&self) -> Option<ShareKey> {
+            Some(ShareKey::new("test-diode", Vec::new()))
+        }
+    }
+
+    /// A source through a resistor into two identical diodes in parallel.
+    fn circuit() -> Circuit {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.vsource("v1", a, Circuit::GROUND, 0.7).unwrap();
+        ckt.resistor("r1", a, b, 1e3).unwrap();
+        ckt.capacitor("c1", b, Circuit::GROUND, 1e-15).unwrap();
+        for name in ["d1", "d2"] {
+            ckt.device(Box::new(Diode {
+                name: name.into(),
+                nodes: [b, Circuit::GROUND],
+            }))
+            .unwrap();
+        }
+        ckt
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn replayed_tapes_stamp_what_recording_stamped() {
+        let mut ckt = circuit();
+        let pattern = jacobian_pattern(&mut ckt);
+        let dim = ckt.unknown_count();
+        let x: Vec<f64> = (0..dim).map(|i| 0.3 + 0.1 * i as f64).collect();
+        for transient in [false, true] {
+            let mut sys = MnaSystem::new(&mut ckt, MnaContext::dc());
+            if transient {
+                sys.init_integration(&x, IntegrationMethod::BackwardEuler);
+                sys.ctx.integ.as_mut().unwrap().dt = 1e-12;
+            }
+            let mut dense = Vec::new();
+            let mut csc = Vec::new();
+            for _ in 0..2 {
+                let mut r = vec![0.0; dim];
+                let mut j = DenseMatrix::zeros(dim, dim);
+                sys.eval(&x, &mut r, &mut j);
+                dense.push((bits(&r), bits(j.values_mut())));
+                let mut r = vec![0.0; dim];
+                let mut j = CscMatrix::from_pattern(&pattern);
+                assert!(sys.eval_sparse(&x, &mut r, &mut j));
+                csc.push((bits(&r), bits(j.to_dense().values_mut())));
+            }
+            // The second pass replays the first pass's tapes.
+            let index = AssemblyCache::tape_index(transient, false);
+            assert!(sys.cache.tapes[index].get().is_some());
+            assert_eq!(dense[0], dense[1], "dense replay (transient: {transient})");
+            assert_eq!(csc[0], csc[1], "CSC replay (transient: {transient})");
+            assert_eq!(dense[0], csc[0], "dense vs CSC (transient: {transient})");
+        }
+    }
+
+    #[test]
+    fn identical_instances_share_one_evaluation() {
+        let mut ckt = circuit();
+        let dim = ckt.unknown_count();
+        let mut sys = MnaSystem::new(&mut ckt, MnaContext::dc());
+        assert_eq!(sys.cache.tables.borrow().len(), 1);
+        let x = vec![0.6; dim];
+        let mut r = vec![0.0; dim];
+        sys.eval_residual_only(&x, &mut r);
+        assert_eq!((sys.device_evals(), sys.device_shares()), (1, 1));
+        assert_eq!(sys.stamps[0], sys.stamps[1]);
+    }
+
+    #[test]
+    fn accepted_steps_defer_reloads_until_a_bypass_needs_them() {
+        let mut ckt = circuit();
+        let dim = ckt.unknown_count();
+        let mut sys = MnaSystem::new(&mut ckt, MnaContext::dc());
+        sys.set_bypass_tol(1e-3);
+        let x = vec![0.6; dim];
+        sys.init_integration(&x, IntegrationMethod::BackwardEuler);
+        sys.ctx.integ.as_mut().unwrap().dt = 1e-12;
+        sys.accept_step(&x, 1e-12, 1e-12);
+        assert_eq!(sys.deferred_loads(), 0, "accepting a step loads nothing");
+        let mut r = vec![0.0; dim];
+        // Within tolerance of the accepted point: the bypass reuses the
+        // pending linearisation, which is materialised once per device
+        // (the twin through the share table).
+        sys.eval_residual_only(&x, &mut r);
+        assert_eq!(sys.device_bypasses(), 2);
+        assert_eq!(sys.deferred_loads(), 2);
+        assert_eq!((sys.device_evals(), sys.device_shares()), (0, 0));
+        // Far from it: evaluated afresh, no reload.
+        sys.accept_step(&x, 2e-12, 1e-12);
+        let moved = vec![0.5; dim];
+        sys.eval_residual_only(&moved, &mut r);
+        assert_eq!(sys.deferred_loads(), 2);
+        assert_eq!((sys.device_evals(), sys.device_shares()), (1, 1));
     }
 }

@@ -70,7 +70,7 @@ pub use batched::{
 };
 pub use cancel::CancelToken;
 pub use circuit::Circuit;
-pub use element::{DeviceStamp, NonlinearDevice};
+pub use element::{DeviceStamp, NonlinearDevice, ShareKey, MAX_TERMINALS};
 pub use error::CircuitError;
 pub use fault::{with_fault_plan, with_fault_plan_logged, FaultKind, FaultPlan};
 pub use node::NodeId;
@@ -78,7 +78,7 @@ pub use registry::{registry, DeckSpec};
 pub use rescue::RescueStats;
 pub use solution::DcSolution;
 pub use solver::{set_default_solver, SolverChoice, SPARSE_THRESHOLD};
-pub use steptel::StepStats;
+pub use steptel::{EvalStats, StepStats};
 pub use trace::Trace;
 pub use transient::{TransientOptions, TransientResult};
 pub use waveform::{Pulse, Waveform};

@@ -32,7 +32,10 @@ pub struct StepStats {
     /// Newton iterations served by a stale LU factorisation, skipping
     /// both Jacobian assembly and factorisation (modified Newton).
     pub refactorizations_avoided: u64,
-    /// Full nonlinear-device model evaluations.
+    /// Nonlinear-device model evaluations at the assembly's own terminal
+    /// voltages (the bypass test failed). Evaluations a share table
+    /// answered are counted in [`EvalStats::device_shares`] instead, and
+    /// deferred reloads in [`EvalStats::deferred_loads`].
     pub device_evals: u64,
     /// Device evaluations skipped by the terminal-voltage bypass cache.
     pub device_bypasses: u64,
@@ -61,7 +64,10 @@ impl StepStats {
         }
     }
 
-    /// Fraction of device evaluations answered from the bypass cache.
+    /// Fraction of device evaluations answered from the bypass cache:
+    /// `device_bypasses / (device_evals + device_bypasses)`. Share-table
+    /// hits are not in the denominator, so sharing raises this rate
+    /// without any extra bypasses.
     pub fn bypass_rate(&self) -> f64 {
         let total = self.device_evals + self.device_bypasses;
         if total == 0 {
@@ -108,6 +114,32 @@ impl AddAssign for StepStats {
         self.device_evals += rhs.device_evals;
         self.device_bypasses += rhs.device_bypasses;
         self.max_lte_ratio = self.max_lte_ratio.max(rhs.max_lte_ratio);
+    }
+}
+
+/// How the assembly avoided device-model calls beyond the bypass, for one
+/// transient run. Kept beside [`StepStats`] rather than in it:
+/// `StepStats` is built field by field outside this crate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EvalStats {
+    /// Evaluations answered by a share table: an identical model instance
+    /// had already computed the stamp at bit-identical terminal voltages.
+    /// `device_evals + device_shares` is the number of evaluations the
+    /// engine needed without sharing.
+    pub device_shares: u64,
+    /// Accept-step reloads that were materialised because a bypass reused
+    /// the deferred linearisation (served by the model or a share table).
+    pub deferred_loads: u64,
+}
+
+impl EvalStats {
+    /// Adds this run's counts into the `nvpg-obs` registry
+    /// (`solve.device_shares`, `solve.deferred_loads`), once per
+    /// analysis like [`StepStats::record_metrics`].
+    pub fn record_metrics(&self) {
+        use nvpg_obs::metrics::counters;
+        counters::DEVICE_SHARES.add(self.device_shares);
+        counters::DEFERRED_LOADS.add(self.deferred_loads);
     }
 }
 

@@ -30,7 +30,7 @@ use crate::node::NodeId;
 use crate::rescue::RescueStats;
 use crate::solution::DcSolution;
 use crate::solver::SolverChoice;
-use crate::steptel::StepStats;
+use crate::steptel::{EvalStats, StepStats};
 use crate::trace::Trace;
 
 /// Options for [`transient`].
@@ -194,8 +194,8 @@ struct Recorder {
     nodes: Vec<NodeId>,
     /// `(name, pos, neg, branch_index)` per voltage source.
     vsources: Vec<(String, NodeId, NodeId, usize)>,
-    /// `(element_index, state_labels)` per recorded device.
-    devices: Vec<(usize, Vec<String>)>,
+    /// `(element_index, state_label_count)` per recorded device.
+    devices: Vec<(usize, usize)>,
 }
 
 impl Recorder {
@@ -222,11 +222,11 @@ impl Recorder {
                     vsources.push((name.clone(), *pos, *neg, br));
                 }
                 Element::Nonlinear(dev) if record_device_state => {
-                    let labels: Vec<String> = dev.state().iter().map(|(l, _)| l.clone()).collect();
-                    for l in &labels {
+                    let state = dev.state();
+                    for (l, _) in &state {
                         names.push(format!("{}.{}", dev.name(), l));
                     }
-                    devices.push((eidx, labels));
+                    devices.push((eidx, state.len()));
                 }
                 _ => {}
             }
@@ -255,17 +255,11 @@ impl Recorder {
             // Power delivered BY the source to the circuit.
             row.push(-v * i);
         }
-        for (eidx, labels) in &self.devices {
-            if let Element::Nonlinear(dev) = &circuit.elements[*eidx] {
-                let state = dev.state();
-                for l in labels {
-                    let v = state
-                        .iter()
-                        .find(|(sl, _)| sl == l)
-                        .map(|&(_, v)| v)
-                        .unwrap_or(0.0);
-                    row.push(v);
-                }
+        for &(eidx, labels) in &self.devices {
+            if let Element::Nonlinear(dev) = &circuit.elements[eidx] {
+                let start = row.len();
+                row.resize(start + labels, 0.0);
+                dev.state_values(&mut row[start..]);
             }
         }
         trace.push(t, row);
@@ -322,6 +316,8 @@ pub struct TransientResult {
     pub rescue: RescueStats,
     /// Step-control and solver-reuse telemetry.
     pub steps: StepStats,
+    /// Device-evaluation sharing and deferred-reload telemetry.
+    pub evals: EvalStats,
 }
 
 /// Runs a transient analysis starting from the operating point `initial`.
@@ -662,10 +658,15 @@ pub fn transient(
     steps.refactorizations_avoided = solver.refactorizations_avoided();
     steps.device_evals = sys.device_evals();
     steps.device_bypasses = sys.device_bypasses();
+    let evals = EvalStats {
+        device_shares: sys.device_shares(),
+        deferred_loads: sys.deferred_loads(),
+    };
 
     // One registry deposit per run, from the aggregated stats, so the
     // global metrics reconcile exactly with the sum of returned stats.
     steps.record_metrics();
+    evals.record_metrics();
     rescue.record_metrics();
     nvpg_obs::metrics::counters::TRANSIENT_RUNS.add(1);
 
@@ -677,6 +678,7 @@ pub fn transient(
         newton_solves: solver.total_solves(),
         rescue,
         steps,
+        evals,
     })
 }
 

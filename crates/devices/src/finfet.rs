@@ -24,7 +24,7 @@
 //! a constant-capacitance partition, which is sufficient for the
 //! energy-shape fidelity this study needs.
 
-use nvpg_circuit::{DeviceStamp, NodeId, NonlinearDevice};
+use nvpg_circuit::{DeviceStamp, NodeId, NonlinearDevice, ShareKey};
 
 /// N- or P-channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -223,6 +223,22 @@ impl FinFet {
         let i = i_vsat * (1.0 + p.lambda * vds);
         sign * dir * i
     }
+
+    /// Terminal charges `[q_d, q_g, q_s]` of the constant-capacitance
+    /// partition: the gate charge splits to drain and source, junction
+    /// caps go to the local reference (ground). Shared by `load` and
+    /// `charge`, so both produce the same bits.
+    fn charges(&self, vd: f64, vg: f64, vs: f64) -> [f64; 3] {
+        let p = &self.params;
+        let cg = p.cg_per_fin * p.fins as f64;
+        let cj = p.cj_per_fin * p.fins as f64;
+        let half = 0.5 * cg;
+        [
+            half * (vd - vg) + cj * vd,
+            cg * vg - half * vd - half * vs,
+            half * (vs - vg) + cj * vs,
+        ]
+    }
 }
 
 impl NonlinearDevice for FinFet {
@@ -253,15 +269,12 @@ impl NonlinearDevice for FinFet {
         stamp.conductance[2][1] = -dg;
         stamp.conductance[2][2] = -ds;
 
-        // Constant-capacitance charge partition: gate charge splits to
-        // drain and source; junction caps to the local reference (ground).
+        // Constant-capacitance charge partition.
+        stamp.charge[..3].copy_from_slice(&self.charges(vd, vg, vs));
         let p = &self.params;
         let cg = p.cg_per_fin * p.fins as f64;
         let cj = p.cj_per_fin * p.fins as f64;
         let half = 0.5 * cg;
-        stamp.charge[1] = cg * vg - half * vd - half * vs;
-        stamp.charge[0] = half * (vd - vg) + cj * vd;
-        stamp.charge[2] = half * (vs - vg) + cj * vs;
         stamp.capacitance[1][1] = cg;
         stamp.capacitance[1][0] = -half;
         stamp.capacitance[1][2] = -half;
@@ -269,6 +282,48 @@ impl NonlinearDevice for FinFet {
         stamp.capacitance[0][0] = half + cj;
         stamp.capacitance[2][1] = -half;
         stamp.capacitance[2][2] = half + cj;
+    }
+
+    fn charge(&self, v: &[f64], q: &mut [f64]) {
+        q.copy_from_slice(&self.charges(v[0], v[1], v[2]));
+    }
+
+    /// The model is stateless and `load` reads nothing but the voltages
+    /// and these parameters, so instances with bit-identical parameters
+    /// share evaluations.
+    fn share_key(&self) -> Option<ShareKey> {
+        // Exhaustive, so a new parameter cannot be left out of the key.
+        let FinFetParams {
+            polarity,
+            fins,
+            l,
+            fin_width,
+            fin_height,
+            vth0,
+            n_factor,
+            i_spec,
+            dibl,
+            v_crit,
+            lambda,
+            cg_per_fin,
+            cj_per_fin,
+            temp,
+        } = self.params;
+        let polarity = match polarity {
+            Polarity::Nmos => 0,
+            Polarity::Pmos => 1,
+        };
+        let reals = [
+            l, fin_width, fin_height, vth0, n_factor, i_spec, dibl, v_crit, lambda, cg_per_fin,
+            cj_per_fin, temp,
+        ];
+        Some(ShareKey::new(
+            std::any::type_name::<Self>(),
+            [polarity, u64::from(fins)]
+                .into_iter()
+                .chain(reals.iter().map(|w| w.to_bits()))
+                .collect(),
+        ))
     }
 }
 

@@ -332,6 +332,9 @@ impl NonlinearDevice for Fefet {
         stamp.conductance[1][1] = g;
     }
 
+    /// Purely resistive: no terminal charge.
+    fn charge(&self, _v: &[f64], _q: &mut [f64]) {}
+
     fn accept_step(&mut self, v: &[f64], _t: f64, dt: f64) {
         let bias = v[0] - v[1];
         if self.drives_switch(bias) && bias.abs() > self.params.v_coercive {
@@ -348,16 +351,20 @@ impl NonlinearDevice for Fefet {
     }
 
     fn state(&self) -> Vec<(String, f64)> {
+        let mut values = [0.0; 2];
+        self.state_values(&mut values);
         vec![
-            (
-                "state".to_owned(),
-                match self.state {
-                    RetentionState::LowR => 0.0,
-                    RetentionState::HighR => 1.0,
-                },
-            ),
-            ("progress".to_owned(), self.progress),
+            ("state".to_owned(), values[0]),
+            ("progress".to_owned(), values[1]),
         ]
+    }
+
+    fn state_values(&self, out: &mut [f64]) {
+        out[0] = match self.state {
+            RetentionState::LowR => 0.0,
+            RetentionState::HighR => 1.0,
+        };
+        out[1] = self.progress;
     }
 
     fn bypass_tolerance_scale(&self) -> f64 {

@@ -116,6 +116,13 @@ impl DenseMatrix {
         self[(row, col)] += value;
     }
 
+    /// The entries in row-major order: `(row, col)` lives at
+    /// `row * cols() + col`.
+    #[inline]
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Matrix–vector product `A·x`.
     ///
     /// # Panics

@@ -139,6 +139,20 @@ impl CscMatrix {
             .map(|off| lo + off)
     }
 
+    /// Index of `(row, col)` in [`values_mut`](Self::values_mut), or
+    /// `None` if the position is not part of the structural pattern.
+    #[inline]
+    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        self.pos(row, col)
+    }
+
+    /// The structural nonzeros' values in storage (column-major) order,
+    /// addressed by [`slot`](Self::slot).
+    #[inline]
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
     /// Adds `value` at `(row, col)`.
     ///
     /// # Panics

@@ -136,6 +136,12 @@ pub mod counters {
     pub static DEVICE_EVALS: Counter = Counter::new("solve.device_evals");
     /// Device evaluations answered from the terminal-voltage bypass.
     pub static DEVICE_BYPASSES: Counter = Counter::new("solve.device_bypasses");
+    /// Device evaluations answered by a share table (an identical model
+    /// instance at bit-identical terminal voltages).
+    pub static DEVICE_SHARES: Counter = Counter::new("solve.device_shares");
+    /// Deferred accept-step reloads materialised because a bypass used
+    /// them.
+    pub static DEFERRED_LOADS: Counter = Counter::new("solve.deferred_loads");
     /// Completed transient analyses.
     pub static TRANSIENT_RUNS: Counter = Counter::new("solve.transient_runs");
     /// Completed DC operating-point solves.
@@ -240,7 +246,7 @@ pub mod gauges {
 }
 
 /// Every registered counter, in render order.
-static ALL_COUNTERS: [&Counter; 40] = [
+static ALL_COUNTERS: [&Counter; 42] = [
     &counters::ACCEPTED_STEPS,
     &counters::REJECTED_LTE,
     &counters::REJECTED_NEWTON,
@@ -250,6 +256,8 @@ static ALL_COUNTERS: [&Counter; 40] = [
     &counters::LU_REUSES,
     &counters::DEVICE_EVALS,
     &counters::DEVICE_BYPASSES,
+    &counters::DEVICE_SHARES,
+    &counters::DEFERRED_LOADS,
     &counters::TRANSIENT_RUNS,
     &counters::DC_SOLVES,
     &counters::RESCUE_REJECTED_STEPS,
